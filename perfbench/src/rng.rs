@@ -1,0 +1,26 @@
+//! SplitMix64: the benchmark's only source of randomness, so every
+//! input is a function of the workload seed.
+
+/// A seeded SplitMix64 generator.
+pub struct Rng(u64);
+
+impl Rng {
+    /// A generator for `seed`.
+    pub fn new(seed: u64) -> Rng {
+        Rng(seed)
+    }
+
+    /// The next 64 random bits.
+    pub fn next_u64(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// A uniform value in `0..n` (`n > 0`).
+    pub fn below(&mut self, n: u64) -> u64 {
+        self.next_u64() % n
+    }
+}
