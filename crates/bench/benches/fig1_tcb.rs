@@ -3,11 +3,15 @@
 //! Counts the lines of this reproduction's components and prints them
 //! next to the paper's published sizes for NOVA and the contemporary
 //! virtualization stacks (which cannot be rebuilt here; their numbers
-//! are the paper's).
+//! are the paper's). Writes `BENCH_fig1.json` with the per-component
+//! counts, the privileged LoC and its share of the stack.
 
 use nova_bench::loc;
 use nova_bench::paper::FIG1_TCB_KLOC;
-use nova_bench::report::{banner, Table};
+use nova_bench::report::{banner, write_json, Table};
+use nova_trace::json::Json;
+
+const REPO_ROOT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
 
 fn main() {
     banner("Figure 1: TCB size of virtual environments");
@@ -16,11 +20,18 @@ fn main() {
     let mut t = Table::new(&["component", "LoC", "privileged"]);
     let mut hv = 0;
     let mut total = 0;
+    let mut components = Vec::new();
     for (label, n, priv_) in loc::nova_tcb() {
         if priv_ {
             hv += n;
         }
         total += n;
+        components.push(
+            Json::obj()
+                .field("component", Json::from(label))
+                .field("loc", Json::from(n as u64))
+                .field("privileged", Json::Bool(priv_)),
+        );
         t.row(vec![
             label.to_string(),
             n.to_string(),
@@ -34,10 +45,22 @@ fn main() {
     ]);
     t.print();
 
+    let share = hv as f64 / total as f64;
     println!(
         "\nPrivileged (hypervisor) share: {hv} LoC — {:.0}% of the stack",
-        100.0 * hv as f64 / total as f64
+        100.0 * share
     );
+    let path = write_json(
+        REPO_ROOT,
+        "fig1",
+        vec![
+            ("components".into(), Json::Arr(components)),
+            ("privileged_loc".into(), Json::from(hv as u64)),
+            ("total_loc".into(), Json::from(total as u64)),
+            ("privileged_share".into(), Json::from(share)),
+        ],
+    );
+    println!("wrote {path}");
 
     println!("\nPaper's Figure 1 (KLOC):\n");
     let mut t = Table::new(&["system", "privileged", "total stack"]);

@@ -26,8 +26,8 @@ use crate::hostpt::{FrameAllocator, NestedTable};
 use crate::hypercall::{HcErr, HcReply, Hypercall};
 use crate::mdb::MapDb;
 use crate::obj::{
-    Ec, EcId, EcKind, MemMapping, MemRights, MemSpace, ObjRef, Objects, Pd, PdId, Portal, PtId, Sc,
-    ScId, Semaphore, SmId, VmPaging,
+    Ec, EcId, EcKind, MemMapping, MemRights, ObjRef, Objects, Pd, PdId, Portal, PtId, Sc, ScId,
+    Semaphore, SmId, VmPaging,
 };
 use crate::sched::Scheduler;
 use crate::utcb::{Utcb, VmExitMsg, XferItem};
@@ -97,11 +97,6 @@ pub struct KernelConfig {
     /// a CR3 reload that hits the cache switches shadow roots instead
     /// of rebuilding (1 reproduces flush-per-switch behaviour).
     pub vtlb_cache_slots: usize,
-    /// Use the pre-radix `BTreeMap` memory spaces ([`MemSpace::legacy`])
-    /// and the allocating guest-memory accessors for every domain.
-    /// Purely a wall-clock A/B knob for the bench harness: simulated
-    /// cycle charges, traces and counters are identical either way.
-    pub legacy_memspace: bool,
 }
 
 impl Default for KernelConfig {
@@ -114,7 +109,6 @@ impl Default for KernelConfig {
             scheduler_timer_hz: None,
             obj_quota: 4096,
             vtlb_cache_slots: 8,
-            legacy_memspace: false,
         }
     }
 }
@@ -382,9 +376,6 @@ impl Kernel {
 
         let mut obj = Objects::default();
         let mut root = Pd::new("root");
-        if config.legacy_memspace {
-            root.mem = MemSpace::legacy();
-        }
 
         // Root owns all I/O ports except the interrupt controllers
         // (PIC) and the scheduling timer (PIT).
@@ -705,9 +696,6 @@ impl Kernel {
             Hypercall::CreatePd { name, vm, dst } => {
                 self.charge_quota(caller)?;
                 let mut pd = Pd::new(name);
-                if self.config.legacy_memspace {
-                    pd.mem = MemSpace::legacy();
-                }
                 pd.vm_paging = vm;
                 pd.large_pages = self.config.host_large_pages;
                 let id = self.obj.add_pd(pd);
@@ -1827,32 +1815,6 @@ impl Kernel {
     // Component-side machine access (permission-checked)
     // ------------------------------------------------------------------
 
-    /// Reads bytes from the component's address space.
-    ///
-    /// Allocates the result; hot paths should prefer
-    /// [`Kernel::mem_read_into`] or [`Kernel::mem_slice`]. Under
-    /// [`KernelConfig::legacy_memspace`] this reproduces the original
-    /// per-chunk-allocating copy loop so wall-clock A/B benchmarks
-    /// compare against the true pre-fast-path behaviour.
-    pub fn mem_read(&self, ctx: CompCtx, addr: u64, len: usize) -> Option<Vec<u8>> {
-        if self.config.legacy_memspace {
-            let ms = &self.obj.pd(ctx.pd).mem;
-            let mut out = Vec::with_capacity(len);
-            let mut off = 0;
-            while off < len {
-                let a = addr + off as u64;
-                let chunk = ((PAGE_SIZE as u64 - (a & 0xfff)) as usize).min(len - off);
-                let hpa = ms.translate(a)?;
-                out.extend_from_slice(&self.machine.mem.read_bytes(hpa, chunk));
-                off += chunk;
-            }
-            return Some(out);
-        }
-        let mut out = vec![0u8; len];
-        self.mem_read_into(ctx, addr, &mut out)?;
-        Some(out)
-    }
-
     /// Reads bytes from the component's address space into a
     /// caller-provided buffer, without allocating. Returns `None` if
     /// any touched page is unmapped; the buffer contents are
@@ -1907,19 +1869,28 @@ impl Kernel {
     }
 
     /// Writes bytes into the component's address space (write rights
-    /// required on every page).
+    /// required on every page). All or nothing: every touched page is
+    /// checked before any byte lands, so a write that runs into a
+    /// read-only or unmapped page changes nothing.
     pub fn mem_write(&mut self, ctx: CompCtx, addr: u64, data: &[u8]) -> bool {
+        if data.is_empty() {
+            return true;
+        }
+        let Some(end) = addr.checked_add(data.len() as u64 - 1) else {
+            return false;
+        };
+        let ms = &self.obj.pd(ctx.pd).mem;
+        if !(addr >> 12..=end >> 12).all(|page| ms.lookup(page).is_some_and(|m| m.rights.write)) {
+            return false;
+        }
         let mut off = 0;
         while off < data.len() {
             let a = addr + off as u64;
             let chunk = ((PAGE_SIZE as u64 - (a & 0xfff)) as usize).min(data.len() - off);
-            let m = match self.obj.pd(ctx.pd).mem.lookup(a >> 12) {
-                Some(m) if m.rights.write => m,
-                _ => return false,
+            let Some(hpa) = ms.translate(a) else {
+                return false; // unreachable: every page was checked above
             };
-            self.machine
-                .mem
-                .write_bytes(m.hpa + (a & 0xfff), &data[off..off + chunk]);
+            self.machine.mem.write_bytes(hpa, &data[off..off + chunk]);
             off += chunk;
         }
         true
@@ -1927,65 +1898,39 @@ impl Kernel {
 
     /// Reads one byte from the component's address space.
     pub fn mem_read_u8(&self, ctx: CompCtx, addr: u64) -> Option<u8> {
-        if self.config.legacy_memspace {
-            return self.mem_read(ctx, addr, 1).map(|b| b[0]);
-        }
         let hpa = self.obj.pd(ctx.pd).mem.translate(addr)?;
         Some(self.machine.mem.read_u8(hpa))
     }
 
-    /// Reads a u32 from the component's address space (direct load; no
-    /// heap round trip unless the read crosses a page boundary onto the
-    /// legacy path).
+    /// Reads a u32 from the component's address space (direct load
+    /// within a page; a page-crossing read goes through
+    /// [`Kernel::mem_read_into`]).
     pub fn mem_read_u32(&self, ctx: CompCtx, addr: u64) -> Option<u32> {
-        if self.config.legacy_memspace {
-            return self
-                .mem_read(ctx, addr, 4)
-                .and_then(|b| Some(u32::from_le_bytes(b.try_into().ok()?)));
-        }
-        let ms = &self.obj.pd(ctx.pd).mem;
         if addr & 0xfff <= 0xffc {
-            let hpa = ms.translate(addr)?;
+            let hpa = self.obj.pd(ctx.pd).mem.translate(addr)?;
             Some(self.machine.mem.read_u32(hpa))
         } else {
-            // Page-crossing: compose bytes through per-byte translation.
-            let mut v = 0u32;
-            for i in 0..4 {
-                let hpa = ms.translate(addr + i)?;
-                v |= (self.machine.mem.read_u8(hpa) as u32) << (8 * i);
-            }
-            Some(v)
+            let mut b = [0u8; 4];
+            self.mem_read_into(ctx, addr, &mut b)?;
+            Some(u32::from_le_bytes(b))
         }
     }
 
-    /// Reads a u64 from the component's address space (direct load).
+    /// Reads a u64 from the component's address space (direct load
+    /// within a page, like [`Kernel::mem_read_u32`]).
     pub fn mem_read_u64(&self, ctx: CompCtx, addr: u64) -> Option<u64> {
-        if self.config.legacy_memspace {
-            // The pre-fast-path idiom: two u32 loads, each through the
-            // allocating byte path.
-            let lo = self.mem_read_u32(ctx, addr)? as u64;
-            let hi = self.mem_read_u32(ctx, addr + 4)? as u64;
-            return Some(lo | hi << 32);
-        }
-        let ms = &self.obj.pd(ctx.pd).mem;
         if addr & 0xfff <= 0xff8 {
-            let hpa = ms.translate(addr)?;
+            let hpa = self.obj.pd(ctx.pd).mem.translate(addr)?;
             Some(self.machine.mem.read_u64(hpa))
         } else {
-            let mut v = 0u64;
-            for i in 0..8 {
-                let hpa = ms.translate(addr + i)?;
-                v |= (self.machine.mem.read_u8(hpa) as u64) << (8 * i);
-            }
-            Some(v)
+            let mut b = [0u8; 8];
+            self.mem_read_into(ctx, addr, &mut b)?;
+            Some(u64::from_le_bytes(b))
         }
     }
 
     /// Writes a u32 into the component's address space.
     pub fn mem_write_u32(&mut self, ctx: CompCtx, addr: u64, val: u32) -> bool {
-        if self.config.legacy_memspace {
-            return self.mem_write(ctx, addr, &val.to_le_bytes());
-        }
         if addr & 0xfff <= 0xffc {
             let Some(m) = self.obj.pd(ctx.pd).mem.lookup(addr >> 12) else {
                 return false;

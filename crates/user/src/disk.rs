@@ -982,9 +982,10 @@ mod tests {
         );
         // Data landed in the client's pages (8..) — compare with the
         // disk's deterministic pattern for LBA 100.
-        let got = s.k.mem_read(s.client_ctx, 8 * 4096, 16).unwrap();
+        let mut got = [0u8; 16];
+        s.k.mem_read_into(s.client_ctx, 8 * 4096, &mut got).unwrap();
         let expect = s.k.machine.ahci().sector(100);
-        assert_eq!(got, expect[..16].to_vec());
+        assert_eq!(got[..], expect[..16]);
         // Ring record written: tag 99, status 0.
         let cfg = DiskServerConfig::standard();
         let _ = cfg;
@@ -1113,10 +1114,14 @@ mod tests {
         for lba in 42..50 {
             expect.extend_from_slice(&s.k.machine.ahci().sector(lba));
         }
-        let got_a = s.k.mem_read(s.client_ctx, 8 * 4096 + 512, 2048).unwrap();
-        let got_b = s.k.mem_read(s.client_ctx, 9 * 4096 + 256, 2048).unwrap();
-        assert_eq!(got_a, expect[..2048].to_vec());
-        assert_eq!(got_b, expect[2048..].to_vec());
+        let mut got_a = [0u8; 2048];
+        let mut got_b = [0u8; 2048];
+        s.k.mem_read_into(s.client_ctx, 8 * 4096 + 512, &mut got_a)
+            .unwrap();
+        s.k.mem_read_into(s.client_ctx, 9 * 4096 + 256, &mut got_b)
+            .unwrap();
+        assert_eq!(got_a[..], expect[..2048]);
+        assert_eq!(got_b[..], expect[2048..]);
         assert!(s.k.machine.bus.iommu.faults.is_empty());
     }
 

@@ -592,8 +592,9 @@ fn restart_revokes_iommu_mappings_and_client_reregisters() {
     assert_eq!(submit_read(&mut r, client, 100, 8, window, 7), dproto::OK);
     assert_eq!(r.k.run(Some(100_000_000)), RunOutcome::Budget);
     assert_eq!(client_signals(&mut r), 1, "first request completed");
-    let got = r.k.mem_read(r.client_ctx, 8 * 4096, 16).unwrap();
-    assert_eq!(got, r.k.machine.ahci().sector(100)[..16].to_vec());
+    let mut got = [0u8; 16];
+    r.k.mem_read_into(r.client_ctx, 8 * 4096, &mut got).unwrap();
+    assert_eq!(got[..], r.k.machine.ahci().sector(100)[..16]);
 
     // The delegated DMA window stands in the IOMMU while the server
     // lives...
@@ -659,8 +660,9 @@ fn restart_revokes_iommu_mappings_and_client_reregisters() {
     assert_eq!(submit_read(&mut r, client, 555, 8, window, 9), dproto::OK);
     assert_eq!(r.k.run(Some(100_000_000)), RunOutcome::Budget);
     assert_eq!(client_signals(&mut r), sig + 1, "completion after restart");
-    let got = r.k.mem_read(r.client_ctx, 8 * 4096, 16).unwrap();
-    assert_eq!(got, r.k.machine.ahci().sector(555)[..16].to_vec());
+    let mut got = [0u8; 16];
+    r.k.mem_read_into(r.client_ctx, 8 * 4096, &mut got).unwrap();
+    assert_eq!(got[..], r.k.machine.ahci().sector(555)[..16]);
     // Ring record 0 of the zeroed ring: tag 9, status OK.
     assert_eq!(r.k.mem_read_u32(r.client_ctx, 4096).unwrap(), 9);
     assert_eq!(r.k.mem_read_u32(r.client_ctx, 4096 + 4).unwrap(), 0);
