@@ -12,8 +12,6 @@
 //! the TLB is tagged with the VPID (or flushed on every transition when
 //! tagging is disabled — the "w/o VPID" configuration of Figure 5).
 
-use std::collections::HashMap;
-
 use nova_x86::decode::{decode, DecodeError, MAX_INSN_LEN};
 use nova_x86::exec::{deliver_event, execute, Env, Exec, Fault};
 use nova_x86::insn::{Insn, Op, OpSize, Operand};
@@ -22,6 +20,7 @@ use nova_x86::reg::{Reg, Regs};
 
 use crate::cost::CostModel;
 use crate::device::DeviceBus;
+use crate::icache::InsnCache;
 use crate::mem::PhysMem;
 use crate::mmu::{self, GuestXlate, MmuRegs};
 use crate::tlb::{Tlb, TlbEntry};
@@ -64,7 +63,7 @@ pub struct Cpu {
     pub instret: u64,
     /// Cycles spent idle (halted waiting for events).
     pub idle_cycles: Cycles,
-    icache: HashMap<PAddr, Insn>,
+    icache: InsnCache,
 }
 
 impl Cpu {
@@ -78,14 +77,8 @@ impl Cpu {
             tlb: Tlb::new(),
             instret: 0,
             idle_cycles: 0,
-            icache: HashMap::new(),
+            icache: InsnCache::default(),
         }
-    }
-
-    /// Drops all cached decoded instructions (call after loading a new
-    /// program image over old code).
-    pub fn flush_icache(&mut self) {
-        self.icache.clear();
     }
 }
 
@@ -293,28 +286,31 @@ impl Env for CpuEnv<'_> {
     }
 }
 
-/// Fetches and decodes the instruction at `regs.eip`, using the decoded
-/// instruction cache.
-fn fetch(env: &mut CpuEnv, icache: &mut HashMap<PAddr, Insn>, eip: u32) -> Result<Insn, CpuErr> {
+/// Fetches and decodes the instruction at `eip`, using the decoded
+/// instruction cache. The fetch translation runs every time (it charges
+/// walk cycles and counts TLB hits); only the decode is cached.
+fn fetch(env: &mut CpuEnv, icache: &mut InsnCache, eip: u32) -> Result<Insn, CpuErr> {
     let hpa = env.translate(eip, Access::FETCH)?;
-    if let Some(i) = icache.get(&hpa) {
-        return Ok(*i);
+    if let Some(i) = icache.lookup(env.mem, hpa) {
+        return Ok(i);
     }
     let in_page = (4096 - (eip as usize & 0xfff)).min(MAX_INSN_LEN);
-    let mut bytes = env.mem.read_bytes(hpa, in_page);
-    let insn = match decode(&bytes) {
-        Ok(i) => i,
+    let mut bytes = [0u8; MAX_INSN_LEN];
+    let (head, rest) = bytes.split_at_mut(in_page);
+    env.mem.read_into(hpa, head);
+    let (insn, tail) = match decode(head) {
+        Ok(i) => (i, None),
         Err(DecodeError::Truncated) => {
             // Instruction straddles a page: translate the next page too.
             let next = (eip & !0xfff).wrapping_add(0x1000);
             let hpa2 = env.translate(next, Access::FETCH)?;
-            let more = env.mem.read_bytes(hpa2, MAX_INSN_LEN - in_page);
-            bytes.extend_from_slice(&more);
-            decode(&bytes).map_err(|_| CpuErr::Fault(Fault::InvalidOpcode))?
+            env.mem.read_into(hpa2, rest);
+            let insn = decode(&bytes).map_err(|_| CpuErr::Fault(Fault::InvalidOpcode))?;
+            (insn, Some(hpa2))
         }
         Err(DecodeError::InvalidOpcode) => return Err(CpuErr::Fault(Fault::InvalidOpcode)),
     };
-    icache.insert(hpa, insn);
+    icache.insert(env.mem, hpa, insn, tail);
     Ok(insn)
 }
 

@@ -23,6 +23,7 @@ pub mod device;
 pub mod event;
 pub mod fault;
 pub mod guestfault;
+pub mod icache;
 pub mod iommu;
 pub mod kbd;
 pub mod machine;

@@ -6,14 +6,28 @@
 //! commodity chipsets; writes outside RAM are dropped. Accessors exist
 //! in byte, u32 and u64 granularity because page-table walkers, DMA
 //! engines and the CPU all touch memory here.
+//!
+//! Every writer bumps the *write generation* of each 4 KB frame it
+//! touches ([`PhysMem::frame_gen`]). Caches of state derived from RAM
+//! contents — the CPU's decoded instructions — compare generations
+//! instead of being flushed, so CPU stores, device DMA, hypervisor and
+//! VMM writes, checkpoint restore and image loading all invalidate them
+//! through this one hook.
+
+use std::ops::Range;
 
 use nova_x86::insn::OpSize;
 
 use crate::PAddr;
 
+/// Size of the frames write generations are kept for.
+pub const FRAME_SIZE: usize = 4096;
+
 /// Byte-addressable RAM.
 pub struct PhysMem {
     bytes: Vec<u8>,
+    /// Write generation per 4 KB frame; bumped by every writer.
+    gens: Vec<u64>,
 }
 
 impl PhysMem {
@@ -21,12 +35,26 @@ impl PhysMem {
     pub fn new(size: usize) -> PhysMem {
         PhysMem {
             bytes: vec![0; size],
+            gens: vec![0; size.div_ceil(FRAME_SIZE)],
         }
     }
 
     /// RAM size in bytes.
     pub fn size(&self) -> usize {
         self.bytes.len()
+    }
+
+    /// Number of (possibly partial) 4 KB frames backing RAM.
+    pub fn frames(&self) -> usize {
+        self.gens.len()
+    }
+
+    /// Write generation of RAM frame `frame` (`hpa >> 12`), or `None`
+    /// for a frame outside RAM. It changes whenever any byte of the
+    /// frame may have been written.
+    #[inline]
+    pub fn frame_gen(&self, frame: u64) -> Option<u64> {
+        self.gens.get(usize::try_from(frame).ok()?).copied()
     }
 
     /// `true` if `addr..addr+len` lies inside RAM.
@@ -36,6 +64,30 @@ impl PhysMem {
             .is_some_and(|end| end <= self.bytes.len())
     }
 
+    /// The part of `addr..addr+len` that lies in RAM. It starts at
+    /// `addr` (or is empty), so whatever it leaves out lies past the
+    /// end of RAM.
+    #[inline]
+    fn in_ram(&self, addr: PAddr, len: usize) -> Range<usize> {
+        let size = self.bytes.len();
+        let a = usize::try_from(addr).map_or(size, |a| a.min(size));
+        a..a + len.min(size - a)
+    }
+
+    /// Bumps the write generation of every frame `r` touches.
+    #[inline]
+    fn written(&mut self, r: Range<usize>) {
+        if r.is_empty() {
+            return;
+        }
+        let frames = r.start / FRAME_SIZE..(r.end - 1) / FRAME_SIZE + 1;
+        if let Some(gens) = self.gens.get_mut(frames) {
+            for g in gens {
+                *g += 1;
+            }
+        }
+    }
+
     /// Reads one byte; unpopulated addresses read as zero.
     pub fn read_u8(&self, addr: PAddr) -> u8 {
         self.bytes.get(addr as usize).copied().unwrap_or(0)
@@ -43,47 +95,31 @@ impl PhysMem {
 
     /// Writes one byte; writes outside RAM are dropped.
     pub fn write_u8(&mut self, addr: PAddr, val: u8) {
-        if let Some(b) = self.bytes.get_mut(addr as usize) {
-            *b = val;
-        }
+        self.write_bytes(addr, &[val]);
     }
 
     /// Reads a little-endian u32.
     pub fn read_u32(&self, addr: PAddr) -> u32 {
-        let a = addr as usize;
-        match self.bytes.get(a..a + 4) {
-            Some(s) => u32::from_le_bytes(s.try_into().unwrap()),
-            None => {
-                let mut v = 0;
-                for i in 0..4 {
-                    v |= (self.read_u8(addr + i) as u32) << (8 * i);
-                }
-                v
-            }
-        }
+        let mut b = [0; 4];
+        self.read_into(addr, &mut b);
+        u32::from_le_bytes(b)
     }
 
     /// Writes a little-endian u32.
     pub fn write_u32(&mut self, addr: PAddr, val: u32) {
-        let a = addr as usize;
-        if let Some(s) = self.bytes.get_mut(a..a + 4) {
-            s.copy_from_slice(&val.to_le_bytes());
-        } else {
-            for i in 0..4 {
-                self.write_u8(addr + i, (val >> (8 * i)) as u8);
-            }
-        }
+        self.write_bytes(addr, &val.to_le_bytes());
     }
 
     /// Reads a little-endian u64 (used by 64-bit EPT entries).
     pub fn read_u64(&self, addr: PAddr) -> u64 {
-        self.read_u32(addr) as u64 | (self.read_u32(addr + 4) as u64) << 32
+        let mut b = [0; 8];
+        self.read_into(addr, &mut b);
+        u64::from_le_bytes(b)
     }
 
     /// Writes a little-endian u64.
     pub fn write_u64(&mut self, addr: PAddr, val: u64) {
-        self.write_u32(addr, val as u32);
-        self.write_u32(addr + 4, (val >> 32) as u32);
+        self.write_bytes(addr, &val.to_le_bytes());
     }
 
     /// Reads an operand-sized value.
@@ -102,39 +138,34 @@ impl PhysMem {
         }
     }
 
-    /// Copies a byte slice into RAM (image loading, DMA).
+    /// Copies a byte slice into RAM (image loading, DMA). The part
+    /// that runs past the end of RAM is dropped.
+    #[inline]
     pub fn write_bytes(&mut self, addr: PAddr, data: &[u8]) {
-        let a = addr as usize;
-        if let Some(s) = self.bytes.get_mut(a..a + data.len()) {
-            s.copy_from_slice(data);
-        } else {
-            for (i, b) in data.iter().enumerate() {
-                self.write_u8(addr + i as u64, *b);
-            }
+        let r = self.in_ram(addr, data.len());
+        if let (Some(dst), Some(src)) = (self.bytes.get_mut(r.clone()), data.get(..r.len())) {
+            dst.copy_from_slice(src);
         }
+        self.written(r);
     }
 
-    /// Copies bytes out of RAM.
+    /// Copies bytes out of RAM; bytes past the end of RAM read as zero.
     pub fn read_bytes(&self, addr: PAddr, len: usize) -> Vec<u8> {
-        let a = addr as usize;
-        match self.bytes.get(a..a + len) {
-            Some(s) => s.to_vec(),
-            None => (0..len).map(|i| self.read_u8(addr + i as u64)).collect(),
-        }
+        let mut v = vec![0; len];
+        self.read_into(addr, &mut v);
+        v
     }
 
     /// Copies bytes out of RAM into a caller-provided buffer without
-    /// allocating; bytes beyond the end of RAM read as zero.
+    /// allocating; bytes past the end of RAM read as zero.
+    #[inline]
     pub fn read_into(&self, addr: PAddr, out: &mut [u8]) {
-        let a = addr as usize;
-        match self.bytes.get(a..a.wrapping_add(out.len())) {
-            Some(s) => out.copy_from_slice(s),
-            None => {
-                for (i, b) in out.iter_mut().enumerate() {
-                    *b = self.read_u8(addr.wrapping_add(i as u64));
-                }
-            }
+        let r = self.in_ram(addr, out.len());
+        let (head, rest) = out.split_at_mut(r.len());
+        if let Some(src) = self.bytes.get(r) {
+            head.copy_from_slice(src);
         }
+        rest.fill(0);
     }
 
     /// Borrows `len` bytes of RAM in place (zero-copy read access);
@@ -145,18 +176,26 @@ impl PhysMem {
     }
 
     /// Borrows `len` bytes of RAM mutably in place (zero-copy write
-    /// access); `None` if the range is not fully RAM-backed.
+    /// access); `None` if the range is not fully RAM-backed. The whole
+    /// range counts as written.
     pub fn slice_mut(&mut self, addr: PAddr, len: usize) -> Option<&mut [u8]> {
-        let a = addr as usize;
-        self.bytes.get_mut(a..a.checked_add(len)?)
+        let a = usize::try_from(addr).ok()?;
+        let r = a..a.checked_add(len)?;
+        if r.end > self.bytes.len() {
+            return None;
+        }
+        self.written(r.clone());
+        self.bytes.get_mut(r)
     }
 
-    /// Fills a region with a byte value.
+    /// Fills a region with a byte value. The part that runs past the
+    /// end of RAM is dropped.
     pub fn fill(&mut self, addr: PAddr, len: usize, val: u8) {
-        let a = addr as usize;
-        if let Some(s) = self.bytes.get_mut(a..a + len) {
+        let r = self.in_ram(addr, len);
+        if let Some(s) = self.bytes.get_mut(r.clone()) {
             s.fill(val);
         }
+        self.written(r);
     }
 }
 
@@ -205,5 +244,69 @@ mod tests {
         assert!(m.contains(4092, 4));
         assert!(!m.contains(4093, 4));
         assert!(!m.contains(u64::MAX, 1));
+    }
+
+    #[test]
+    fn ranges_near_the_top_of_the_address_space_do_not_wrap() {
+        let mut m = PhysMem::new(4096);
+        m.write_u32(0, 0x1122_3344);
+        for addr in [u64::MAX, u64::MAX - 2, 1 << 63] {
+            m.write_bytes(addr, &[0xff; 8]);
+            m.fill(addr, 8, 0xff);
+            m.write_u64(addr, u64::MAX);
+            assert_eq!(m.read_bytes(addr, 8), vec![0; 8]);
+            assert_eq!(m.read_u64(addr), 0);
+            assert!(m.slice_mut(addr, 8).is_none());
+        }
+        // Nothing wrapped around onto low RAM.
+        assert_eq!(m.read_u32(0), 0x1122_3344);
+        assert_eq!(m.frame_gen(0), Some(1));
+    }
+
+    #[test]
+    fn range_straddling_end_of_ram_touches_the_in_ram_part() {
+        let mut m = PhysMem::new(1024);
+        m.fill(1020, 8, 0xaa);
+        assert_eq!(
+            m.read_bytes(1018, 8),
+            vec![0, 0, 0xaa, 0xaa, 0xaa, 0xaa, 0, 0]
+        );
+        m.write_bytes(1022, &[1, 2, 3, 4]);
+        assert_eq!(m.read_bytes(1020, 6), vec![0xaa, 0xaa, 1, 2, 0, 0]);
+        assert_eq!(m.read_u32(1022), 0x0201);
+        assert!(m.slice(1020, 8).is_none());
+    }
+
+    #[test]
+    fn every_writer_bumps_the_frames_it_touches() {
+        let mut m = PhysMem::new(4 * FRAME_SIZE);
+        assert_eq!(m.frames(), 4);
+        assert_eq!(m.frame_gen(4), None);
+        let gens = |m: &PhysMem| -> Vec<u64> { (0..4).map(|f| m.frame_gen(f).unwrap()).collect() };
+
+        m.write_u8(0x10, 1);
+        m.write_sized(0x1010, OpSize::Dword, 2);
+        m.write_u64(0x2010, 3);
+        assert_eq!(gens(&m), [1, 1, 1, 0]);
+        // A dword straddling frames 0 and 1 bumps both.
+        m.write_u32(0xffe, 4);
+        assert_eq!(gens(&m), [2, 2, 1, 0]);
+        m.write_bytes(0x1ff0, &[0; 0x1020]);
+        assert_eq!(gens(&m), [2, 3, 2, 1]);
+        m.fill(0x3000, 1, 0);
+        assert_eq!(gens(&m), [2, 3, 2, 2]);
+        // A mutable borrow counts as a write of its whole range, even
+        // if nothing is stored through it.
+        let _ = m.slice_mut(0x0fff, 2);
+        assert_eq!(gens(&m), [3, 4, 2, 2]);
+
+        // Reads, empty writes and writes outside RAM bump nothing.
+        let mut buf = [0; 16];
+        m.read_into(0x10, &mut buf);
+        let _ = (m.read_bytes(0, 0x4000), m.read_u64(0x2010), m.slice(0, 8));
+        m.write_bytes(0x10, &[]);
+        m.fill(0x10, 0, 0);
+        m.write_u32(0x4000, 5);
+        assert_eq!(gens(&m), [3, 4, 2, 2]);
     }
 }

@@ -213,55 +213,41 @@ pub fn virtual_cpuid(ident: &nova_x86::cpuid::CpuIdent, leaf: u32) -> [u32; 4] {
 /// Faults from the fetch translation, or [`EmuErr::Unsupported`] for
 /// encodings outside the subset.
 pub fn fetch_insn(env: &mut EmuEnv, regs: &Regs) -> Result<Insn, EmuErr> {
-    // Opcode bytes accumulate on the stack; each guest page on the
-    // fetch path is translated once and its bytes borrowed in place
-    // (zero-copy).
+    // Opcode bytes accumulate on the stack one guest page at a time:
+    // each page on the fetch path is translated once, its bytes are
+    // borrowed in place (zero-copy) and the buffer is decoded once. The
+    // decoder reads sequentially, so bytes past the instruction are
+    // never acted on; only a truncated decode moves on to the next page.
     let mut buf = [0u8; MAX_INSN_LEN];
     let mut len = 0usize;
-    'fetch: while len < MAX_INSN_LEN {
+    while len < MAX_INSN_LEN {
         let gva = regs.eip.wrapping_add(len as u32);
         let gpa = match env.gva_to_gpa(gva, false, true) {
             Ok(g) => g,
-            Err(f) => {
-                if len == 0 {
-                    return Err(EmuErr::Fault(f));
-                }
-                break 'fetch;
-            }
+            Err(f) if len == 0 => return Err(EmuErr::Fault(f)),
+            Err(_) => break,
         };
         if !env.in_ram(gpa) {
-            break 'fetch;
+            break;
         }
         let page_left = 4096 - (gpa & 0xfff) as usize;
         let want = (MAX_INSN_LEN - len).min(page_left);
         let addr = env.view.base_page * 4096 + gpa;
-        let got = match env.k.mem_slice(env.ctx, addr, want) {
-            Some(src) => match buf.get_mut(len..len + src.len()) {
-                Some(dst) => {
-                    dst.copy_from_slice(src);
-                    src.len()
-                }
-                None => break 'fetch,
-            },
-            None => break 'fetch,
+        let Some(src) = env.k.mem_slice(env.ctx, addr, want) else {
+            break;
         };
-        // Try decoding as soon as plausible to avoid acting on bytes
-        // past the instruction (cheap for short encodings).
-        for _ in 0..got {
-            len += 1;
-            if len >= 2 {
-                match decode(buf.get(..len).unwrap_or(&buf)) {
-                    Ok(insn) => return Ok(insn),
-                    Err(DecodeError::Truncated) => continue,
-                    Err(DecodeError::InvalidOpcode) => return Err(EmuErr::Unsupported),
-                }
-            }
+        let Some(dst) = buf.get_mut(len..len + src.len()) else {
+            break;
+        };
+        dst.copy_from_slice(src);
+        len += src.len();
+        match decode(buf.get(..len).unwrap_or(&buf)) {
+            Ok(insn) => return Ok(insn),
+            Err(DecodeError::Truncated) => {}
+            Err(DecodeError::InvalidOpcode) => break,
         }
     }
-    match decode(buf.get(..len).unwrap_or(&buf)) {
-        Ok(insn) => Ok(insn),
-        Err(_) => Err(EmuErr::Unsupported),
-    }
+    Err(EmuErr::Unsupported)
 }
 
 /// Emulates exactly one instruction at the guest's instruction
