@@ -116,9 +116,33 @@ struct CpuEnv<'a> {
     clock: &'a mut Cycles,
     mmu: MmuRegs,
     guest: Option<GuestCtx>,
+    /// Set by any device access (MMIO, port I/O): the step may have
+    /// changed the PIC, the event queue or the shutdown latch.
+    touched_device: bool,
 }
 
-impl CpuEnv<'_> {
+impl<'a> CpuEnv<'a> {
+    fn new(
+        tlb: &'a mut Tlb,
+        mem: &'a mut PhysMem,
+        bus: &'a mut DeviceBus,
+        cost: &'a CostModel,
+        clock: &'a mut Cycles,
+        regs: &Regs,
+        guest: Option<GuestCtx>,
+    ) -> CpuEnv<'a> {
+        CpuEnv {
+            tlb,
+            mem,
+            bus,
+            cost,
+            clock,
+            mmu: MmuRegs::from_regs(regs),
+            guest,
+            touched_device: false,
+        }
+    }
+
     fn vpid(&self) -> u16 {
         self.guest.map_or(0, |g| g.vpid)
     }
@@ -215,7 +239,7 @@ impl CpuEnv<'_> {
         self.tlb.insert_for(
             TlbEntry {
                 vpid,
-                vpn: addr as u64 / leaf.page_size,
+                vpn: addr as u64 >> leaf.page_size.trailing_zeros(),
                 hpa: leaf.hpa & !(leaf.page_size - 1),
                 page_size: leaf.page_size,
                 write: leaf.write,
@@ -234,6 +258,7 @@ impl Env for CpuEnv<'_> {
         *self.clock += self.cost.mem_access;
         if self.bus.mmio_owner(hpa).is_some() {
             *self.clock += DEVICE_ACCESS_CYCLES;
+            self.touched_device = true;
             return Ok(self.bus.mmio_read(self.mem, *self.clock, hpa, size));
         }
         Ok(self.mem.read_sized(hpa, size))
@@ -244,6 +269,7 @@ impl Env for CpuEnv<'_> {
         *self.clock += self.cost.mem_access;
         if self.bus.mmio_owner(hpa).is_some() {
             *self.clock += DEVICE_ACCESS_CYCLES;
+            self.touched_device = true;
             self.bus.mmio_write(self.mem, *self.clock, hpa, size, val);
             return Ok(());
         }
@@ -253,11 +279,13 @@ impl Env for CpuEnv<'_> {
 
     fn io_in(&mut self, port: u16, size: OpSize) -> Result<u32, CpuErr> {
         *self.clock += DEVICE_ACCESS_CYCLES;
+        self.touched_device = true;
         Ok(self.bus.io_read(self.mem, *self.clock, port, size))
     }
 
     fn io_out(&mut self, port: u16, size: OpSize, val: u32) -> Result<(), CpuErr> {
         *self.clock += DEVICE_ACCESS_CYCLES;
+        self.touched_device = true;
         self.bus.io_write(self.mem, *self.clock, port, size, val);
         Ok(())
     }
@@ -286,14 +314,38 @@ impl Env for CpuEnv<'_> {
     }
 }
 
-/// Fetches and decodes the instruction at `eip`, using the decoded
-/// instruction cache. The fetch translation runs every time (it charges
-/// walk cycles and counts TLB hits); only the decode is cached.
-fn fetch(env: &mut CpuEnv, icache: &mut InsnCache, eip: u32) -> Result<Insn, CpuErr> {
+/// Fetches the instruction at `eip` and hands it to `exec`. The fetch
+/// translation runs every time (it charges walk cycles and counts TLB
+/// hits); a decoded-instruction cache hit is executed in place, only a
+/// miss decodes.
+#[inline(always)]
+fn fetch_exec(
+    env: &mut CpuEnv,
+    icache: &mut InsnCache,
+    eip: u32,
+    exec: impl FnOnce(&Insn, &mut CpuEnv) -> Result<Exec, CpuErr>,
+) -> Result<Exec, CpuErr> {
     let hpa = env.translate(eip, Access::FETCH)?;
-    if let Some(i) = icache.lookup(env.mem, hpa) {
-        return Ok(i);
-    }
+    let decoded;
+    let insn = match icache.lookup(env.mem, hpa) {
+        Some(i) => i,
+        None => {
+            decoded = decode_at(env, icache, eip, hpa)?;
+            &decoded
+        }
+    };
+    exec(insn, env)
+}
+
+/// Decodes the instruction at `eip` (first byte at `hpa`) and caches it.
+#[cold]
+#[inline(never)]
+fn decode_at(
+    env: &mut CpuEnv,
+    icache: &mut InsnCache,
+    eip: u32,
+    hpa: PAddr,
+) -> Result<Insn, CpuErr> {
     let in_page = (4096 - (eip as usize & 0xfff)).min(MAX_INSN_LEN);
     let mut bytes = [0u8; MAX_INSN_LEN];
     let (head, rest) = bytes.split_at_mut(in_page);
@@ -312,6 +364,20 @@ fn fetch(env: &mut CpuEnv, icache: &mut InsnCache, eip: u32) -> Result<Insn, Cpu
     };
     icache.insert(env.mem, hpa, insn, tail);
     Ok(insn)
+}
+
+/// The cycle at which the pre-step checks must run again if nothing
+/// else changes their inputs: the next device event or the deadline.
+fn next_check(bus: &DeviceBus, deadline: Option<Cycles>) -> Cycles {
+    let due = bus.next_event_due().unwrap_or(Cycles::MAX);
+    deadline.map_or(due, |d| d.min(due))
+}
+
+/// `true` unless a step's outcome can have changed an input of the
+/// pre-step checks: a device access, or an end other than plain
+/// completion (fault, halt, STI shadow, exit).
+fn checks_still_valid(step: &Result<Exec, CpuErr>, touched_device: bool) -> bool {
+    !touched_device && matches!(step, Ok(Exec::Normal) | Ok(Exec::RepContinue))
 }
 
 /// Outcome of delivering an event into the running context.
@@ -410,66 +476,61 @@ pub fn run_native(
     budget: Option<Cycles>,
 ) -> NativeStop {
     let deadline = budget.map(|b| *clock + b);
+    // The pre-step checks are skipped until the clock reaches this
+    // cycle; 0 runs them before the next step (DESIGN.md §6j).
+    let mut checks_until: Cycles = 0;
     loop {
-        // Device events and shutdown.
-        if bus.next_event_due().is_some_and(|d| d <= *clock) {
-            bus.process_events(mem, *clock);
-        }
-        if let Some(code) = bus.ctl.shutdown.take() {
-            return NativeStop::Shutdown(code);
-        }
-        if deadline.is_some_and(|d| *clock >= d) {
-            return NativeStop::Budget;
-        }
+        if *clock >= checks_until {
+            // Device events and shutdown.
+            if bus.next_event_due().is_some_and(|d| d <= *clock) {
+                bus.process_events(mem, *clock);
+            }
+            if let Some(code) = bus.ctl.shutdown.take() {
+                return NativeStop::Shutdown(code);
+            }
+            if deadline.is_some_and(|d| *clock >= d) {
+                return NativeStop::Budget;
+            }
 
-        // Interrupts.
-        let shadow_was = cpu.sti_shadow;
-        cpu.sti_shadow = false;
-        if !shadow_was && cpu.regs.if_set() && bus.pic.intr() {
-            if let Some(vec) = bus.pic.ack() {
-                cpu.halted = false;
-                *clock += IRQ_DELIVERY_CYCLES;
-                let mut env = CpuEnv {
-                    tlb: &mut cpu.tlb,
-                    mem,
-                    bus,
-                    cost,
-                    clock,
-                    mmu: MmuRegs::from_regs(&cpu.regs),
-                    guest: None,
-                };
-                match deliver(&mut cpu.regs, &mut env, vec, None) {
-                    Delivery::Done => {}
-                    _ => return NativeStop::TripleFault,
+            // Interrupts.
+            let shadow_was = cpu.sti_shadow;
+            cpu.sti_shadow = false;
+            let intr = bus.pic.intr();
+            if !shadow_was && cpu.regs.if_set() && intr {
+                if let Some(vec) = bus.pic.ack() {
+                    cpu.halted = false;
+                    *clock += IRQ_DELIVERY_CYCLES;
+                    let mut env = CpuEnv::new(&mut cpu.tlb, mem, bus, cost, clock, &cpu.regs, None);
+                    match deliver(&mut cpu.regs, &mut env, vec, None) {
+                        Delivery::Done => {}
+                        _ => return NativeStop::TripleFault,
+                    }
                 }
             }
-        }
 
-        // Halted: fast-forward to the next event.
-        if cpu.halted {
-            match bus.next_event_due() {
-                Some(due) => {
-                    let skip = due.saturating_sub(*clock);
-                    cpu.idle_cycles += skip;
-                    *clock = due;
-                    continue;
+            // Halted: fast-forward to the next event.
+            if cpu.halted {
+                match bus.next_event_due() {
+                    Some(due) => {
+                        let skip = due.saturating_sub(*clock);
+                        cpu.idle_cycles += skip;
+                        *clock = due;
+                        continue;
+                    }
+                    None => return NativeStop::IdleForever,
                 }
-                None => return NativeStop::IdleForever,
             }
+            checks_until = if intr { 0 } else { next_check(bus, deadline) };
         }
 
         // Fetch, decode, execute.
-        let mut env = CpuEnv {
-            tlb: &mut cpu.tlb,
-            mem,
-            bus,
-            cost,
-            clock,
-            mmu: MmuRegs::from_regs(&cpu.regs),
-            guest: None,
-        };
-        let step = fetch(&mut env, &mut cpu.icache, cpu.regs.eip)
-            .and_then(|insn| execute(&insn, &mut cpu.regs, &mut env));
+        let mut env = CpuEnv::new(&mut cpu.tlb, mem, bus, cost, clock, &cpu.regs, None);
+        let step = fetch_exec(&mut env, &mut cpu.icache, cpu.regs.eip, |insn, env| {
+            execute(insn, &mut cpu.regs, env)
+        });
+        if !checks_still_valid(&step, env.touched_device) {
+            checks_until = 0;
+        }
         *clock += 1;
         cpu.instret += 1;
 
@@ -481,15 +542,7 @@ pub fn run_native(
                 if let Fault::Page { addr, .. } = f {
                     cpu.regs.cr2 = addr;
                 }
-                let mut env = CpuEnv {
-                    tlb: &mut cpu.tlb,
-                    mem,
-                    bus,
-                    cost,
-                    clock,
-                    mmu: MmuRegs::from_regs(&cpu.regs),
-                    guest: None,
-                };
+                let mut env = CpuEnv::new(&mut cpu.tlb, mem, bus, cost, clock, &cpu.regs, None);
                 match deliver(&mut cpu.regs, &mut env, f.vector(), f.error_code()) {
                     Delivery::Done => {}
                     _ => return NativeStop::TripleFault,
@@ -521,25 +574,17 @@ pub fn run_guest(
         cpu.tlb.flush_all();
     }
 
-    let guest_ctx = GuestCtx {
+    let guest_ctx = Some(GuestCtx {
         vpid: vmcs.vpid,
         paging: vmcs.paging,
         intercept_pf: vmcs.intercept_pf,
         tsc_offset: vmcs.tsc_offset,
-    };
+    });
 
     // Event injection on entry.
     if let Some(inj) = vmcs.injection.take() {
         vmcs.halted = false;
-        let mut env = CpuEnv {
-            tlb: &mut cpu.tlb,
-            mem,
-            bus,
-            cost,
-            clock,
-            mmu: MmuRegs::from_regs(&vmcs.guest),
-            guest: Some(guest_ctx),
-        };
+        let mut env = CpuEnv::new(&mut cpu.tlb, mem, bus, cost, clock, &vmcs.guest, guest_ctx);
         match deliver(&mut vmcs.guest, &mut env, inj.vector, inj.error_code) {
             Delivery::Done => {}
             Delivery::Exit(reason) => {
@@ -553,98 +598,107 @@ pub fn run_guest(
     }
 
     let deadline = quantum.map(|q| *clock + q);
+    // As in `run_native`: the pre-step checks are skipped until the
+    // clock reaches this cycle (DESIGN.md §6j).
+    let mut checks_until: Cycles = 0;
 
     loop {
-        if bus.next_event_due().is_some_and(|d| d <= *clock) {
-            bus.process_events(mem, *clock);
-        }
-        // The debug-exit device stops the machine; hand control back
-        // (the caller observes `bus.ctl.shutdown`).
-        if bus.ctl.shutdown.is_some() {
-            return exit_guest(cpu, vmcs, ExitReason::Preempt);
-        }
+        if *clock >= checks_until {
+            if bus.next_event_due().is_some_and(|d| d <= *clock) {
+                bus.process_events(mem, *clock);
+            }
+            // The debug-exit device stops the machine; hand control back
+            // (the caller observes `bus.ctl.shutdown`).
+            if bus.ctl.shutdown.is_some() {
+                return exit_guest(cpu, vmcs, ExitReason::Preempt);
+            }
 
-        if vmcs.recall_pending {
-            vmcs.recall_pending = false;
-            return exit_guest(cpu, vmcs, ExitReason::Recall);
-        }
-        if deadline.is_some_and(|d| *clock >= d) {
-            return exit_guest(cpu, vmcs, ExitReason::Preempt);
-        }
+            if vmcs.recall_pending {
+                vmcs.recall_pending = false;
+                return exit_guest(cpu, vmcs, ExitReason::Recall);
+            }
+            if deadline.is_some_and(|d| *clock >= d) {
+                return exit_guest(cpu, vmcs, ExitReason::Preempt);
+            }
 
-        // Physical interrupts: exit (full virtualization) or deliver
-        // straight into the guest (direct assignment).
-        let shadow_was = vmcs.sti_shadow;
-        vmcs.sti_shadow = false;
-        if bus.pic.intr() {
-            if vmcs.intercept_extint {
-                if let Some(vec) = bus.pic.ack() {
-                    return exit_guest(cpu, vmcs, ExitReason::ExtInt { vector: vec });
-                }
-            } else if !shadow_was && vmcs.guest.if_set() {
-                if let Some(vec) = bus.pic.ack() {
-                    vmcs.halted = false;
-                    *clock += IRQ_DELIVERY_CYCLES;
-                    let mut env = CpuEnv {
-                        tlb: &mut cpu.tlb,
-                        mem,
-                        bus,
-                        cost,
-                        clock,
-                        mmu: MmuRegs::from_regs(&vmcs.guest),
-                        guest: Some(guest_ctx),
-                    };
-                    match deliver(&mut vmcs.guest, &mut env, vec, None) {
-                        Delivery::Done => {}
-                        Delivery::Exit(reason) => {
-                            vmcs.injection = Some(crate::vmx::Injection {
-                                vector: vec,
-                                error_code: None,
-                            });
-                            return exit_guest(cpu, vmcs, reason);
+            // Physical interrupts: exit (full virtualization) or deliver
+            // straight into the guest (direct assignment).
+            let shadow_was = vmcs.sti_shadow;
+            vmcs.sti_shadow = false;
+            let intr = bus.pic.intr();
+            if intr {
+                if vmcs.intercept_extint {
+                    if let Some(vec) = bus.pic.ack() {
+                        return exit_guest(cpu, vmcs, ExitReason::ExtInt { vector: vec });
+                    }
+                } else if !shadow_was && vmcs.guest.if_set() {
+                    if let Some(vec) = bus.pic.ack() {
+                        vmcs.halted = false;
+                        *clock += IRQ_DELIVERY_CYCLES;
+                        let mut env = CpuEnv::new(
+                            &mut cpu.tlb,
+                            mem,
+                            bus,
+                            cost,
+                            clock,
+                            &vmcs.guest,
+                            guest_ctx,
+                        );
+                        match deliver(&mut vmcs.guest, &mut env, vec, None) {
+                            Delivery::Done => {}
+                            Delivery::Exit(reason) => {
+                                vmcs.injection = Some(crate::vmx::Injection {
+                                    vector: vec,
+                                    error_code: None,
+                                });
+                                return exit_guest(cpu, vmcs, reason);
+                            }
+                            Delivery::Fatal => {
+                                return exit_guest(cpu, vmcs, ExitReason::TripleFault)
+                            }
                         }
-                        Delivery::Fatal => return exit_guest(cpu, vmcs, ExitReason::TripleFault),
                     }
                 }
             }
-        }
 
-        // Interrupt-window exiting.
-        if vmcs.intwin_exit && !shadow_was && vmcs.guest.if_set() {
-            vmcs.intwin_exit = false;
-            return exit_guest(cpu, vmcs, ExitReason::IntWindow);
-        }
-
-        // Halted guest (HLT not intercepted): idle until an event.
-        if vmcs.halted {
-            match bus.next_event_due() {
-                Some(due) => {
-                    let skip = due.saturating_sub(*clock);
-                    cpu.idle_cycles += skip;
-                    *clock = due;
-                    continue;
-                }
-                None => return exit_guest(cpu, vmcs, ExitReason::TripleFault),
+            // Interrupt-window exiting.
+            if vmcs.intwin_exit && !shadow_was && vmcs.guest.if_set() {
+                vmcs.intwin_exit = false;
+                return exit_guest(cpu, vmcs, ExitReason::IntWindow);
             }
-        }
 
-        let mut env = CpuEnv {
-            tlb: &mut cpu.tlb,
-            mem,
-            bus,
-            cost,
-            clock,
-            mmu: MmuRegs::from_regs(&vmcs.guest),
-            guest: Some(guest_ctx),
-        };
+            // Halted guest (HLT not intercepted): idle until an event.
+            if vmcs.halted {
+                match bus.next_event_due() {
+                    Some(due) => {
+                        let skip = due.saturating_sub(*clock);
+                        cpu.idle_cycles += skip;
+                        *clock = due;
+                        continue;
+                    }
+                    None => return exit_guest(cpu, vmcs, ExitReason::TripleFault),
+                }
+            }
+            // An open interrupt-window request waits on IF, which plain
+            // instructions change: keep checking every step.
+            checks_until = if intr || vmcs.intwin_exit {
+                0
+            } else {
+                next_check(bus, deadline)
+            };
+        }
 
         // Fetch and check intercepts before executing.
-        let step = fetch(&mut env, &mut cpu.icache, vmcs.guest.eip).and_then(|insn| {
-            if let Some(reason) = intercept(&insn, &vmcs.guest, vmcs) {
+        let mut env = CpuEnv::new(&mut cpu.tlb, mem, bus, cost, clock, &vmcs.guest, guest_ctx);
+        let step = fetch_exec(&mut env, &mut cpu.icache, vmcs.guest.eip, |insn, env| {
+            if let Some(reason) = intercept(insn, &vmcs.guest, vmcs) {
                 return Err(CpuErr::Exit(reason));
             }
-            execute(&insn, &mut vmcs.guest, &mut env)
+            execute(insn, &mut vmcs.guest, env)
         });
+        if !checks_still_valid(&step, env.touched_device) {
+            checks_until = 0;
+        }
         *clock += 1;
         cpu.instret += 1;
 
@@ -657,15 +711,8 @@ pub fn run_guest(
                 if let Fault::Page { addr, .. } = f {
                     vmcs.guest.cr2 = addr;
                 }
-                let mut env = CpuEnv {
-                    tlb: &mut cpu.tlb,
-                    mem,
-                    bus,
-                    cost,
-                    clock,
-                    mmu: MmuRegs::from_regs(&vmcs.guest),
-                    guest: Some(guest_ctx),
-                };
+                let mut env =
+                    CpuEnv::new(&mut cpu.tlb, mem, bus, cost, clock, &vmcs.guest, guest_ctx);
                 match deliver(&mut vmcs.guest, &mut env, f.vector(), f.error_code()) {
                     Delivery::Done => {}
                     Delivery::Exit(reason) => {
@@ -896,7 +943,9 @@ mod tests {
         let mut v = guest_vmcs(&mut m, &code, 0x1000);
         let exit = run(&mut m, &mut v, Some(10_000));
         assert_eq!(exit, ExitReason::Preempt);
-        assert!(m.clock >= 10_000);
+        // After the first fetch every spin step costs one cycle, so the
+        // first boundary at or past the deadline is the deadline.
+        assert_eq!(m.clock, 10_000);
     }
 
     #[test]
@@ -958,6 +1007,305 @@ mod tests {
         let mut v = guest_vmcs(&mut m, &code, 0x1000);
         let exit = run(&mut m, &mut v, None);
         assert_eq!(exit, ExitReason::TripleFault);
+    }
+
+    /// Raises IRQ `token` when its scheduled event fires.
+    struct Pulser;
+
+    impl crate::device::Device for Pulser {
+        fn name(&self) -> &'static str {
+            "pulser"
+        }
+
+        fn as_any(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+
+        fn event(&mut self, ctx: &mut crate::device::DevCtx, token: u64) {
+            ctx.pulse_irq(token as u8);
+        }
+    }
+
+    /// Schedules IRQ 0 at cycle `due`, unmasked at the PIC.
+    fn irq0_at(m: &mut Machine, due: Cycles) {
+        let dev = m.bus.add_device(Box::new(Pulser));
+        m.bus.events.schedule(
+            due,
+            crate::event::Event {
+                device: dev,
+                token: 0,
+            },
+        );
+        m.bus.pic.io_write(crate::pic::MASTER_DATA, 0xfe);
+    }
+
+    /// IDT at 0x5000 with gate `vector` pointing at `handler`.
+    fn gate(m: &mut Machine, regs: &mut Regs, vector: u64, handler: u32) {
+        m.mem
+            .write_u32(0x5000 + vector * 8, 0x0008_0000 | (handler & 0xffff));
+        m.mem
+            .write_u32(0x5000 + vector * 8 + 4, (handler & 0xffff_0000) | 0x8e00);
+        regs.idt_base = 0x5000;
+        regs.idt_limit = 0x7ff;
+    }
+
+    /// Code at 0x1000 whose step boundaries are known exactly: a load
+    /// that warms the data TLB, an `rdtsc` whose value (ESI) is its own
+    /// start clock, then one-cycle register steps mixed with
+    /// `1 + mem_access`-cycle loads from the warmed page, then a
+    /// one-cycle spin. Also returns, for every step after the `rdtsc`,
+    /// its address and cost.
+    fn timed_program(mem_access: Cycles) -> (Vec<u8>, Vec<(u32, Cycles)>) {
+        let mut a = Asm::new(0x1000);
+        let data = nova_x86::MemRef::abs(0x3000);
+        let mut steps = Vec::new();
+        a.mov_rm(Reg::Eax, data);
+        a.rdtsc();
+        steps.push((a.here(), 1));
+        a.mov_rr(Reg::Esi, Reg::Eax);
+        for load in [false, true, false, false, true, true, false, true] {
+            if load {
+                steps.push((a.here(), 1 + mem_access));
+                a.mov_rm(Reg::Ebx, data);
+            } else {
+                steps.push((a.here(), 1));
+                a.nop();
+            }
+        }
+        let spin = a.here_label();
+        for _ in 0..8 {
+            steps.push((a.here(), 1));
+        }
+        a.jmp(spin);
+        (a.finish(), steps)
+    }
+
+    /// The first step boundary at or after `due`: the address of the
+    /// instruction that starts there and its clock, given the `rdtsc`
+    /// step's start clock `t`.
+    fn first_boundary(steps: &[(u32, Cycles)], t: Cycles, due: Cycles) -> (u32, Cycles) {
+        let mut at = t + 1;
+        for &(addr, cost) in steps {
+            if at >= due {
+                return (addr, at);
+            }
+            at += cost;
+        }
+        panic!("due {due} past the timed region");
+    }
+
+    fn timed_guest(m: &mut Machine) -> (Vmcs, Vec<(u32, Cycles)>) {
+        let (code, steps) = timed_program(m.cost.mem_access);
+        (guest_vmcs(m, &code, 0x1000), steps)
+    }
+
+    fn timed_native(m: &mut Machine) -> Vec<(u32, Cycles)> {
+        let (code, steps) = timed_program(m.cost.mem_access);
+        m.load_image(0x1000, &code);
+        m.cpus[0].regs = Regs::at(0x1000);
+        m.cpus[0].regs.set(Reg::Esp, 0x8000);
+        steps
+    }
+
+    /// Start clock of the timed program's `rdtsc` and the program's
+    /// steps after it, from a run that reaches the spin.
+    fn timed_span(guest: bool) -> (Cycles, Vec<(u32, Cycles)>) {
+        let mut m = machine();
+        if guest {
+            let (mut v, steps) = timed_guest(&mut m);
+            assert_eq!(run(&mut m, &mut v, Some(200)), ExitReason::Preempt);
+            assert!(v.guest.eip >= steps[steps.len() - 8].0, "reached the spin");
+            (v.guest.get(Reg::Esi) as Cycles, steps)
+        } else {
+            let steps = timed_native(&mut m);
+            assert_eq!(m.run_native(Some(200)), NativeStop::Budget);
+            (m.cpus[0].regs.get(Reg::Esi) as Cycles, steps)
+        }
+    }
+
+    /// Every due cycle inside the timed region.
+    fn dues(t: Cycles, steps: &[(u32, Cycles)]) -> std::ops::RangeInclusive<Cycles> {
+        t + 1..=t + steps.iter().map(|s| s.1).sum::<Cycles>()
+    }
+
+    #[test]
+    fn guest_event_exits_at_first_boundary_past_due() {
+        let (t, steps) = timed_span(true);
+        for due in dues(t, &steps) {
+            let (eip, at) = first_boundary(&steps, t, due);
+            // Device event raising an intercepted interrupt.
+            let mut m = machine();
+            let (mut v, _) = timed_guest(&mut m);
+            irq0_at(&mut m, due);
+            let exit = run(&mut m, &mut v, Some(due + 1000));
+            assert_eq!(exit, ExitReason::ExtInt { vector: 0x20 }, "due {due}");
+            assert_eq!((v.guest.eip, m.clock), (eip, at), "due {due}");
+            assert_eq!(v.guest.get(Reg::Eax) as Cycles, t, "rdtsc ran");
+
+            // Quantum expiry at the same cycle.
+            let mut m = machine();
+            let (mut v, _) = timed_guest(&mut m);
+            assert_eq!(run(&mut m, &mut v, Some(due)), ExitReason::Preempt);
+            assert_eq!((v.guest.eip, m.clock), (eip, at), "quantum {due}");
+        }
+    }
+
+    #[test]
+    fn native_event_interrupts_at_first_boundary_past_due() {
+        let (t, steps) = timed_span(false);
+        for due in dues(t, &steps) {
+            let (eip, at) = first_boundary(&steps, t, due);
+            let mut m = machine();
+            timed_native(&mut m);
+
+            // Device event: the interrupt is taken before `eip`; the
+            // handler stops the machine.
+            irq0_at(&mut m, due);
+            let mut regs = m.cpus[0].regs.clone();
+            gate(&mut m, &mut regs, 0x20, 0x2000);
+            regs.eflags |= flags::IF;
+            m.cpus[0].regs = regs;
+            m.mem.write_bytes(0x2000, &[0xe6, 0xf4]); // out 0xf4, al
+            let stop = m.run_native(Some(due + 1000));
+            assert!(matches!(stop, NativeStop::Shutdown(_)), "due {due}");
+            let esp = m.cpus[0].regs.get(Reg::Esp);
+            assert_eq!(m.mem.read_u32(esp as u64), eip, "due {due}");
+
+            // Budget expiry at the same boundary.
+            let mut m = machine();
+            timed_native(&mut m);
+            assert_eq!(m.run_native(Some(due)), NativeStop::Budget);
+            assert_eq!((m.cpus[0].regs.eip, m.clock), (eip, at), "budget {due}");
+        }
+    }
+
+    /// Code that sets IF with `sti` (its shadow ends at the `nop`), then
+    /// unmasks the pending IRQ 1 with its fourth instruction and would
+    /// run on; returns the image and the address after the unmasking
+    /// `out`.
+    fn unmask_program() -> (Vec<u8>, u32) {
+        let mut a = Asm::new(0x1000);
+        a.sti();
+        a.nop();
+        a.mov_r8i(nova_x86::Reg8::Al, 0xfd);
+        a.out_imm_al(0x21);
+        let after = a.here();
+        a.nop();
+        a.nop();
+        a.hlt();
+        (a.finish(), after)
+    }
+
+    #[test]
+    fn guest_unmasking_out_is_followed_at_once_by_exit_or_delivery() {
+        for intercept_extint in [true, false] {
+            let mut m = machine();
+            let (code, after) = unmask_program();
+            let mut v = guest_vmcs(&mut m, &code, 0x1000);
+            v.passthrough_ports(crate::pic::MASTER_CMD, 2);
+            v.intercept_extint = intercept_extint;
+            let mut regs = v.guest.clone();
+            gate(&mut m, &mut regs, 0x21, 0x2000);
+            v.guest = regs;
+            m.mem.write_bytes(0x2000, &[0xf4]); // handler: hlt
+            m.bus.pic.pulse(1); // latched while masked
+            let exit = run(&mut m, &mut v, None);
+            if intercept_extint {
+                assert_eq!(exit, ExitReason::ExtInt { vector: 0x21 });
+                assert_eq!(v.guest.eip, after);
+                assert_eq!(m.cpus[0].instret, 4, "no instruction after the out");
+            } else {
+                assert_eq!(exit, ExitReason::Hlt { len: 1 });
+                assert_eq!(v.guest.eip, 0x2000, "in the handler");
+                let esp = v.guest.get(Reg::Esp);
+                assert_eq!(m.mem.read_u32(esp as u64), after);
+                assert_eq!(
+                    m.cpus[0].instret, 5,
+                    "no instruction after the out but the handler's hlt"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn native_unmasking_out_is_followed_at_once_by_delivery() {
+        let mut m = machine();
+        let (code, after) = unmask_program();
+        m.load_image(0x1000, &code);
+        let mut regs = Regs::at(0x1000);
+        regs.set(Reg::Esp, 0x8000);
+        gate(&mut m, &mut regs, 0x21, 0x2000);
+        m.cpus[0].regs = regs;
+        m.mem.write_bytes(0x2000, &[0xe6, 0xf4]); // out 0xf4, al
+        m.bus.pic.pulse(1);
+        assert_eq!(m.run_native(None), NativeStop::Shutdown(0xfd));
+        let esp = m.cpus[0].regs.get(Reg::Esp);
+        assert_eq!(m.mem.read_u32(esp as u64), after);
+        assert_eq!(
+            m.cpus[0].instret, 5,
+            "no instruction after the out but the handler's"
+        );
+    }
+
+    /// Code that sets IF with `popf` (a plain step, not `sti`) and
+    /// would run on; returns the image and the address after the `popf`.
+    fn popf_program() -> (Vec<u8>, u32) {
+        let mut a = Asm::new(0x1000);
+        a.push_i(flags::IF | 0x2);
+        a.popf();
+        let after = a.here();
+        a.nop();
+        a.nop();
+        a.hlt();
+        (a.finish(), after)
+    }
+
+    #[test]
+    fn guest_popf_opening_the_gate_is_followed_at_once_by_delivery_or_window_exit() {
+        for window in [false, true] {
+            let mut m = machine();
+            let (code, after) = popf_program();
+            let mut v = guest_vmcs(&mut m, &code, 0x1000);
+            let mut regs = v.guest.clone();
+            gate(&mut m, &mut regs, 0x21, 0x2000);
+            v.guest = regs;
+            m.mem.write_bytes(0x2000, &[0xf4]); // handler: hlt
+            if window {
+                // Interrupt-window exit requested, nothing pending.
+                v.intwin_exit = true;
+                assert_eq!(run(&mut m, &mut v, Some(1000)), ExitReason::IntWindow);
+                assert_eq!(v.guest.eip, after);
+            } else {
+                // IRQ 1 pending and unmasked while IF is clear.
+                v.intercept_extint = false;
+                m.bus.pic.io_write(crate::pic::MASTER_DATA, 0xfd);
+                m.bus.pic.pulse(1);
+                let exit = run(&mut m, &mut v, Some(1000));
+                assert_eq!(exit, ExitReason::Hlt { len: 1 });
+                assert_eq!(v.guest.eip, 0x2000, "in the handler");
+                let esp = v.guest.get(Reg::Esp);
+                assert_eq!(m.mem.read_u32(esp as u64), after);
+            }
+            assert_eq!(m.cpus[0].instret, 2 + u64::from(!window), "window {window}");
+        }
+    }
+
+    #[test]
+    fn native_popf_opening_the_gate_is_followed_at_once_by_delivery() {
+        let mut m = machine();
+        let (code, after) = popf_program();
+        m.load_image(0x1000, &code);
+        let mut regs = Regs::at(0x1000);
+        regs.set(Reg::Esp, 0x8000);
+        gate(&mut m, &mut regs, 0x21, 0x2000);
+        m.cpus[0].regs = regs;
+        m.mem.write_bytes(0x2000, &[0xe6, 0xf4]); // out 0xf4, al
+        m.bus.pic.io_write(crate::pic::MASTER_DATA, 0xfd);
+        m.bus.pic.pulse(1);
+        assert!(matches!(m.run_native(Some(1000)), NativeStop::Shutdown(_)));
+        let esp = m.cpus[0].regs.get(Reg::Esp);
+        assert_eq!(m.mem.read_u32(esp as u64), after);
+        assert_eq!(m.cpus[0].instret, 3, "push, popf, handler's out");
     }
 
     #[test]

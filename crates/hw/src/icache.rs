@@ -57,7 +57,7 @@ impl InsnCache {
     /// The cached decode of the instruction whose first byte is at
     /// `hpa`, if it is still valid.
     #[inline]
-    pub fn lookup(&self, mem: &PhysMem, hpa: PAddr) -> Option<Insn> {
+    pub fn lookup(&self, mem: &PhysMem, hpa: PAddr) -> Option<&Insn> {
         let frame = hpa >> 12;
         let f = self.frames.get(frame as usize)?.as_deref()?;
         if mem.frame_gen(frame) != Some(f.gen) {
@@ -70,7 +70,7 @@ impl InsnCache {
                 return None;
             }
         }
-        Some(e.insn)
+        Some(&e.insn)
     }
 
     /// Caches `insn`, just decoded from the bytes at `hpa` (and, for an
@@ -147,11 +147,11 @@ mod tests {
         let nop = insn(&[0x90]);
         assert!(c.lookup(&mem, 0x1010).is_none());
         c.insert(&mem, 0x1010, nop, None);
-        assert_eq!(c.lookup(&mem, 0x1010), Some(nop));
+        assert_eq!(c.lookup(&mem, 0x1010), Some(&nop));
         assert!(c.lookup(&mem, 0x1011).is_none());
         // A write to another frame leaves it valid ...
         mem.write_u8(0x2000, 0);
-        assert_eq!(c.lookup(&mem, 0x1010), Some(nop));
+        assert_eq!(c.lookup(&mem, 0x1010), Some(&nop));
         // ... a write anywhere in its own frame does not.
         mem.write_u8(0x1fff, 0);
         assert!(c.lookup(&mem, 0x1010).is_none());
@@ -159,7 +159,7 @@ mod tests {
         // one re-inserted.
         c.insert(&mem, 0x1020, nop, None);
         assert!(c.lookup(&mem, 0x1010).is_none());
-        assert_eq!(c.lookup(&mem, 0x1020), Some(nop));
+        assert_eq!(c.lookup(&mem, 0x1020), Some(&nop));
     }
 
     #[test]
@@ -168,12 +168,12 @@ mod tests {
         let mut c = InsnCache::default();
         let mov = insn(&[0xb8, 0x11, 0, 0, 0]);
         c.insert(&mem, 0x1ffe, mov, Some(0x3000));
-        assert_eq!(c.lookup(&mem, 0x1ffe), Some(mov));
+        assert_eq!(c.lookup(&mem, 0x1ffe), Some(&mov));
         mem.write_u8(0x3001, 0x22);
         assert!(c.lookup(&mem, 0x1ffe).is_none());
         let patched = insn(&[0xb8, 0x11, 0x22, 0, 0]);
         c.insert(&mem, 0x1ffe, patched, Some(0x3000));
-        assert_eq!(c.lookup(&mem, 0x1ffe), Some(patched));
+        assert_eq!(c.lookup(&mem, 0x1ffe), Some(&patched));
     }
 
     #[test]

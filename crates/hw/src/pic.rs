@@ -10,6 +10,14 @@
 //! requests, the IMR, non-specific EOI, ICW1/ICW2 initialization for
 //! the vector offsets, and master/slave cascading on line 2.
 
+/// 8259 priority resolution in O(1): the lowest-numbered `ready` line,
+/// provided it lies strictly below the lowest in-service line (a line
+/// in service blocks itself and everything below it).
+fn arbitrate(ready: u8, isr: u8) -> Option<u8> {
+    let line = ready.trailing_zeros();
+    (line < isr.trailing_zeros()).then_some(line as u8)
+}
+
 /// One 8259 chip.
 #[derive(Clone, Debug)]
 struct Chip {
@@ -39,16 +47,7 @@ impl Chip {
     /// Highest-priority pending, unmasked line, honouring in-service
     /// priority (a line in service blocks itself and everything below).
     fn best(&self) -> Option<u8> {
-        let ready = self.irr & !self.imr;
-        for l in 0..8 {
-            if self.isr & (1 << l) != 0 {
-                return None;
-            }
-            if ready & (1 << l) != 0 {
-                return Some(l);
-            }
-        }
-        None
+        arbitrate(self.irr & !self.imr, self.isr)
     }
 
     fn ack(&mut self, line: u8) {
@@ -161,41 +160,34 @@ impl DualPic {
         self.set_line(line, false);
     }
 
-    /// Master arbitration with the slave's INT output mirrored onto
-    /// line 2: the winning master line, honouring IMR and in-service
-    /// priority. A pending slave request only wins if line 2 is the
-    /// master's highest-priority ready line.
-    fn master_best(&self) -> Option<u8> {
-        let cascade = if self.slave.best().is_some() {
-            1 << 2
-        } else {
-            0
-        };
-        let ready = (self.master.irr | cascade) & !self.master.imr;
-        for l in 0..8 {
-            if self.master.isr & (1 << l) != 0 {
-                return None;
-            }
-            if ready & (1 << l) != 0 {
-                return Some(l);
-            }
-        }
-        None
+    /// Master arbitration with the slave's INT output (`slave`, the
+    /// slave's winning line) mirrored onto line 2: the winning master
+    /// line, honouring IMR and in-service priority. A pending slave
+    /// request only wins if line 2 is the master's highest-priority
+    /// ready line.
+    fn master_best(&self, slave: Option<u8>) -> Option<u8> {
+        let cascade = if slave.is_some() { 1 << 2 } else { 0 };
+        arbitrate(
+            (self.master.irr | cascade) & !self.master.imr,
+            self.master.isr,
+        )
     }
 
     /// `true` if any unmasked interrupt is pending (the INTR pin).
     pub fn intr(&self) -> bool {
-        self.master_best()
-            .is_some_and(|l| l != 2 || self.slave.best().is_some())
+        let slave = self.slave.best();
+        self.master_best(slave)
+            .is_some_and(|l| l != 2 || slave.is_some())
     }
 
     /// CPU interrupt acknowledge: returns the vector of the
     /// highest-priority pending interrupt and moves it in-service.
     pub fn ack(&mut self) -> Option<u8> {
-        let l = self.master_best()?;
+        let slave = self.slave.best();
+        let l = self.master_best(slave)?;
         if l == 2 {
             // Slave interrupts arrive through master line 2.
-            let sl = self.slave.best()?;
+            let sl = slave?;
             self.slave.ack(sl);
             self.master.irr |= 1 << 2;
             self.master.ack(2);
@@ -275,6 +267,126 @@ impl DualPic {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The per-line priority loop the bit-operation [`arbitrate`]
+    /// replaced, kept as the reference it is checked against.
+    fn best_ref(ready: u8, isr: u8) -> Option<u8> {
+        for l in 0..8 {
+            if isr & (1 << l) != 0 {
+                return None;
+            }
+            if ready & (1 << l) != 0 {
+                return Some(l);
+            }
+        }
+        None
+    }
+
+    fn chip_best_ref(c: &Chip) -> Option<u8> {
+        best_ref(c.irr & !c.imr, c.isr)
+    }
+
+    /// Reference `DualPic::intr`: slave arbitration run once for the
+    /// cascade input and once more for line 2, as the loop model did.
+    fn intr_ref(p: &DualPic) -> bool {
+        let cascade = if chip_best_ref(&p.slave).is_some() {
+            1 << 2
+        } else {
+            0
+        };
+        best_ref((p.master.irr | cascade) & !p.master.imr, p.master.isr)
+            .is_some_and(|l| l != 2 || chip_best_ref(&p.slave).is_some())
+    }
+
+    /// Reference `DualPic::ack` over the loop arbitration.
+    fn ack_ref(p: &mut DualPic) -> Option<u8> {
+        let cascade = if chip_best_ref(&p.slave).is_some() {
+            1 << 2
+        } else {
+            0
+        };
+        let l = best_ref((p.master.irr | cascade) & !p.master.imr, p.master.isr)?;
+        if l == 2 {
+            let sl = chip_best_ref(&p.slave)?;
+            p.slave.ack(sl);
+            p.master.irr |= 1 << 2;
+            p.master.ack(2);
+            return Some(p.slave.offset + sl);
+        }
+        p.master.ack(l);
+        Some(p.master.offset + l)
+    }
+
+    fn pic_with(master: [u8; 3], slave: [u8; 3]) -> DualPic {
+        let mut p = DualPic::new();
+        let [irr, imr, isr] = master;
+        p.master.irr = irr;
+        p.master.imr = imr;
+        p.master.isr = isr;
+        let [irr, imr, isr] = slave;
+        p.slave.irr = irr;
+        p.slave.imr = imr;
+        p.slave.isr = isr;
+        p
+    }
+
+    /// `intr` and `ack` (its vector and the state it leaves) agree
+    /// with the reference.
+    fn assert_matches_ref(p: &DualPic) {
+        assert_eq!(p.intr(), intr_ref(p), "intr of {:?}", p.export_state());
+        let (mut a, mut b) = (p.clone(), p.clone());
+        assert_eq!(a.ack(), ack_ref(&mut b), "ack of {:?}", p.export_state());
+        assert_eq!(a.export_state(), b.export_state());
+    }
+
+    #[test]
+    fn bit_arbitration_matches_loop_for_every_chip_state() {
+        for v in 0u32..1 << 24 {
+            let c = Chip {
+                irr: v as u8,
+                imr: (v >> 8) as u8,
+                isr: (v >> 16) as u8,
+                offset: 0,
+                init_state: 0,
+            };
+            assert_eq!(c.best(), chip_best_ref(&c), "irr/imr/isr {v:06x}");
+        }
+    }
+
+    #[test]
+    fn cascade_matches_reference() {
+        let slave_pending = [1 << 3, 0, 0];
+        // Master line 2 masked: the slave request cannot win.
+        let p = pic_with([0, 1 << 2, 0], slave_pending);
+        assert!(!p.intr());
+        assert_matches_ref(&p);
+        // Master line 2 in service: blocked until the master EOI.
+        let p = pic_with([0, 0, 1 << 2], slave_pending);
+        assert!(!p.intr());
+        assert_matches_ref(&p);
+        // A lower master line beats the cascade.
+        let mut p = pic_with([1 << 1, 0, 0], slave_pending);
+        assert_matches_ref(&p);
+        assert_eq!(p.ack(), Some(0x21));
+        // A higher master line loses to it.
+        let mut p = pic_with([1 << 5, 0, 0], slave_pending);
+        assert_matches_ref(&p);
+        assert_eq!(p.ack(), Some(0x2b));
+        // Master line 2 requested with nothing ready on the slave.
+        let p = pic_with([1 << 2, 0, 0], [1 << 3, 1 << 3, 0]);
+        assert!(!p.intr());
+        assert_matches_ref(&p);
+
+        // Seeded sweep over both chips' registers.
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..200_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let b = x.to_le_bytes();
+            assert_matches_ref(&pic_with([b[0], b[1], b[2]], [b[3], b[4], b[5]]));
+        }
+    }
 
     fn unmasked() -> DualPic {
         let mut p = DualPic::new();

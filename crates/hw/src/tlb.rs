@@ -27,7 +27,8 @@ pub struct TlbEntry {
     pub vpn: u64,
     /// Host-physical base address of the mapped page.
     pub hpa: u64,
-    /// Page size in bytes (4 KB, 2 MB or 4 MB).
+    /// Page size in bytes (4 KB, 2 MB or 4 MB; a power of two, so the
+    /// tag match is a shift).
     pub page_size: u64,
     /// Write permission.
     pub write: bool,
@@ -87,7 +88,7 @@ impl Tlb {
         // Large pages first: a hit there covers the small lookup.
         let lset = Self::large_set(addr);
         if let Some(e) = self.large[side][lset] {
-            if e.vpid == vpid && addr / e.page_size == e.vpn {
+            if e.vpid == vpid && addr >> e.page_size.trailing_zeros() == e.vpn {
                 self.stats.hits += 1;
                 return Some(e);
             }
@@ -140,7 +141,7 @@ impl Tlb {
             }
             let lset = Self::large_set(addr);
             if let Some(e) = self.large[side][lset] {
-                if e.vpid == vpid && addr / e.page_size == e.vpn {
+                if e.vpid == vpid && addr >> e.page_size.trailing_zeros() == e.vpn {
                     self.large[side][lset] = None;
                 }
             }
@@ -299,6 +300,48 @@ mod tests {
         t.flush_all();
         assert_eq!(t.occupancy(), 0);
         assert_eq!(t.stats.flushed_entries, 10);
+    }
+
+    /// A `size`-byte entry for the page containing `base`.
+    fn entry_at(base: u64, size: u64) -> TlbEntry {
+        TlbEntry {
+            vpid: 1,
+            vpn: base / size,
+            hpa: 0x100_0000,
+            page_size: size,
+            write: true,
+        }
+    }
+
+    #[test]
+    fn tag_match_ends_exactly_at_the_page_boundary() {
+        let cases = [
+            (0x7000, 4 << 10),
+            // 2 MB pages in the lower and the upper half of the 4 MB
+            // region that indexes their large set.
+            (0x0040_0000, 2 << 20),
+            (0x0060_0000, 2 << 20),
+            (0x00c0_0000, 4 << 20),
+        ];
+        for (base, size) in cases {
+            let last = base + size - 1;
+            let mut t = Tlb::new();
+            for fetch in [false, true] {
+                t.insert_for(entry_at(base, size), fetch);
+                let hit = t.lookup_for(1, last, fetch).expect("last byte hits");
+                assert_eq!(hit.hpa + (last & (size - 1)), 0x100_0000 + size - 1);
+                assert!(t.lookup_for(1, base + size, fetch).is_none(), "{base:#x}");
+                if base > 0 {
+                    assert!(t.lookup_for(1, base - 1, fetch).is_none(), "{base:#x}");
+                }
+            }
+            // INVLPG of the next page's first byte spares the entry; of
+            // its own last byte, removes it from both arrays.
+            t.invalidate(1, base + size);
+            assert_eq!(t.occupancy(), 2, "{base:#x}");
+            t.invalidate(1, last);
+            assert_eq!(t.occupancy(), 0, "{base:#x}");
+        }
     }
 
     #[test]
